@@ -28,7 +28,6 @@
 #![allow(clippy::disallowed_methods)] // unwrap/expect gate covers schedule, hwsim, serve (see clippy.toml)
 
 use serde::Serialize;
-use std::time::Duration;
 use tlp::features::FeatureExtractor;
 use tlp::{TlpConfig, TlpModel};
 use tlp_autotuner::SearchTask;
@@ -36,8 +35,8 @@ use tlp_bench::write_json;
 use tlp_hwsim::Platform;
 use tlp_schedule::{ScheduleSequence, Vocabulary};
 use tlp_serve::{
-    random_pool, run_fleet_sim, BatchPolicy, BreakerState, FleetConfig, FleetLoadOptions,
-    FleetLoadReport, ServeConfig, ServingFleet, SimLatencySummary, SimServiceModel, DEFAULT_TENANT,
+    random_pool, run_fleet_sim, BreakerState, FleetConfig, FleetLoadOptions, FleetLoadReport,
+    ServeConfig, ServingFleet, SimLatencySummary, SimServiceModel, DEFAULT_TENANT,
 };
 use tlp_workload::{AnchorOp, Subgraph};
 
@@ -84,18 +83,12 @@ fn model_and_extractor() -> (TlpModel, FeatureExtractor) {
     (TlpModel::new(cfg), ex)
 }
 
-/// One batcher per shard and no coalescing wait: the simulation issues
-/// requests sequentially, so waiting for stragglers only adds real
-/// wall-clock time without changing any simulated number.
+/// One batcher per shard.
 fn start_fleet(shards: usize) -> ServingFleet {
     let fleet = ServingFleet::start(FleetConfig {
         shards,
         serve: ServeConfig {
             batchers: 1,
-            policy: BatchPolicy {
-                max_wait: Duration::ZERO,
-                ..BatchPolicy::default()
-            },
             ..ServeConfig::default()
         },
         ..FleetConfig::default()

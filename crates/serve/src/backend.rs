@@ -17,8 +17,10 @@
 //!   fallback model, or degrade to all-invalid batches the tuner's
 //!   rank-last handling absorbs without aborting the search.
 
+use crate::chaos::mix;
 use crate::error::ServeError;
 use crate::server::{ScoreReply, ServeClient};
+use crate::tenant::DEFAULT_TENANT;
 use serde::Serialize;
 use std::cell::{Cell, RefCell};
 use std::time::Duration;
@@ -30,28 +32,17 @@ use tlp_schedule::ScheduleSequence;
 /// [`ServeClient`] for real serving and by
 /// [`FlakyTransport`](crate::chaos::FlakyTransport) for chaos testing.
 pub trait ScoreTransport {
-    /// Scores `schedules` against the named model, honoring `deadline` when
-    /// given.
-    fn score(
+    /// Scores `schedules` against the named model on behalf of `tenant`
+    /// (QoS accounting only; transports without tenancy ignore the label),
+    /// honoring `deadline` when given.
+    fn score_as(
         &self,
+        tenant: &str,
         model: &str,
         task: &SearchTask,
         schedules: &[ScheduleSequence],
         deadline: Option<Duration>,
     ) -> Result<ScoreReply, ServeError>;
-
-    /// Like [`ScoreTransport::score`] but attributed to `tenant` for QoS
-    /// accounting. Transports without tenancy ignore the label.
-    fn score_as(
-        &self,
-        _tenant: &str,
-        model: &str,
-        task: &SearchTask,
-        schedules: &[ScheduleSequence],
-        deadline: Option<Duration>,
-    ) -> Result<ScoreReply, ServeError> {
-        self.score(model, task, schedules, deadline)
-    }
 
     /// Per-endpoint breaker state this transport maintains, one row per
     /// endpoint. Empty for single-endpoint transports (the default); a
@@ -63,19 +54,6 @@ pub trait ScoreTransport {
 }
 
 impl ScoreTransport for ServeClient {
-    fn score(
-        &self,
-        model: &str,
-        task: &SearchTask,
-        schedules: &[ScheduleSequence],
-        deadline: Option<Duration>,
-    ) -> Result<ScoreReply, ServeError> {
-        match deadline {
-            None => ServeClient::score(self, model, task, schedules),
-            Some(d) => ServeClient::score_with_deadline(self, model, task, schedules, d),
-        }
-    }
-
     fn score_as(
         &self,
         tenant: &str,
@@ -410,10 +388,7 @@ impl<T: ScoreTransport> RemoteCostModel<T> {
     fn jitter_factor(&self) -> f64 {
         let n = self.jitter_counter.get();
         self.jitter_counter.set(n.wrapping_add(1));
-        let mut z = n.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        let u = ((z ^ (z >> 31)) >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
+        let u = (mix(n) >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
         1.0 + self.retry.jitter * (2.0 * u - 1.0)
     }
 
@@ -425,10 +400,13 @@ impl<T: ScoreTransport> RemoteCostModel<T> {
     ) -> Result<ScoreReply, ServeError> {
         let mut attempt = 0u32;
         loop {
-            match self
-                .transport
-                .score(&self.model, task, schedules, self.deadline)
-            {
+            match self.transport.score_as(
+                DEFAULT_TENANT,
+                &self.model,
+                task,
+                schedules,
+                self.deadline,
+            ) {
                 Ok(reply) => return Ok(reply),
                 Err(err) => {
                     if !is_transient(&err) || attempt >= self.retry.max_retries {

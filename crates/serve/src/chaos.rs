@@ -17,7 +17,8 @@ use tlp_autotuner::SearchTask;
 use tlp_schedule::ScheduleSequence;
 
 /// splitmix64 finalizer: one independent uniform draw per request. Also
-/// used by the fleet router to spread ring points.
+/// used by the fleet router to spread ring points and by the remote cost
+/// model's backoff jitter.
 pub(crate) fn mix(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
@@ -101,19 +102,6 @@ impl<T: ScoreTransport> FlakyTransport<T> {
 }
 
 impl<T: ScoreTransport> ScoreTransport for FlakyTransport<T> {
-    fn score(
-        &self,
-        model: &str,
-        task: &SearchTask,
-        schedules: &[ScheduleSequence],
-        deadline: Option<Duration>,
-    ) -> Result<ScoreReply, ServeError> {
-        match self.draw_failure() {
-            Some(err) => Err(err),
-            None => self.inner.score(model, task, schedules, deadline),
-        }
-    }
-
     fn score_as(
         &self,
         tenant: &str,
@@ -143,8 +131,9 @@ mod tests {
     /// A transport that always succeeds with an empty reply.
     struct AlwaysOk;
     impl ScoreTransport for AlwaysOk {
-        fn score(
+        fn score_as(
             &self,
+            _tenant: &str,
             _model: &str,
             _task: &SearchTask,
             schedules: &[ScheduleSequence],
@@ -165,7 +154,7 @@ mod tests {
             tlp_workload::Subgraph::new("d", tlp_workload::AnchorOp::Dense { m: 8, n: 8, k: 8 }),
             tlp_hwsim::Platform::i7_10510u(),
         );
-        t.score("m", &task, &[], None)
+        t.score_as(crate::DEFAULT_TENANT, "m", &task, &[], None)
     }
 
     #[test]

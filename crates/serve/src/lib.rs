@@ -10,9 +10,10 @@
 //!
 //! - **Dynamic batching** ([`server`]): client jobs land on a bounded
 //!   queue; batcher threads coalesce jobs for the same `(model, task)`
-//!   into single engine batches under a [`BatchPolicy`]
-//!   (`max_batch`/`max_wait`), so many small requests amortize into the
-//!   engine's micro-batched parallel path. Scores are bit-identical to
+//!   into single engine batches of at most [`BatchPolicy::max_batch`]
+//!   candidates, so many small requests amortize into the engine's
+//!   micro-batched parallel path. A batch is whatever is queued for its
+//!   key when a batcher picks it; nothing waits. Scores are bit-identical to
 //!   direct engine calls — batching is a throughput optimization, never a
 //!   semantic one.
 //! - **Versioned hot-swap** ([`registry`]): models are installed by name

@@ -6,18 +6,16 @@
 //! [`ServeError::Overloaded`] *before* enqueueing, so rejected load costs
 //! O(1) and server memory never grows with it. Batcher threads pull the
 //! oldest job, then coalesce every queued job for the same `(model, task)`
-//! into one engine batch — topping up for at most
-//! [`BatchPolicy::max_wait`] while the batch is below
-//! [`BatchPolicy::max_batch`] candidates — so many small tuner requests
-//! amortize into the engine's micro-batched parallel path. Each batch scores
-//! on the [`ModelVersion`] resolved at execution time and carries that
-//! version tag back to the client; a hot-swap between two batches is
-//! invisible to in-flight work.
+//! into one engine batch, up to [`BatchPolicy::max_batch`] candidates, so
+//! many small tuner requests amortize into the engine's micro-batched
+//! parallel path. A batch is whatever is queued for its key when a batcher
+//! picks it; nothing waits. Each batch scores on the [`ModelVersion`]
+//! resolved at execution time and carries that version tag back to the
+//! client; a hot-swap between two batches is invisible to in-flight work.
 //!
 //! Shutdown is graceful: new submissions fail with
-//! [`ServeError::ShuttingDown`] while batchers keep flushing (without the
-//! coalescing wait) until the queue is empty, so every admitted request gets
-//! an answer.
+//! [`ServeError::ShuttingDown`] while batchers keep flushing until the queue
+//! is empty, so every admitted request gets an answer.
 
 use crate::error::ServeError;
 use crate::registry::ModelRegistry;
@@ -40,17 +38,11 @@ pub struct BatchPolicy {
     /// split: a single oversized job still runs whole (the engine
     /// micro-batches internally).
     pub max_batch: usize,
-    /// How long a batch below `max_batch` may wait for more jobs, measured
-    /// from the oldest job's enqueue time. Zero flushes immediately.
-    pub max_wait: Duration,
 }
 
 impl Default for BatchPolicy {
     fn default() -> Self {
-        BatchPolicy {
-            max_batch: 512,
-            max_wait: Duration::from_micros(200),
-        }
+        BatchPolicy { max_batch: 512 }
     }
 }
 
@@ -456,7 +448,6 @@ struct Group {
     task_fp: u64,
     jobs: Vec<Job>,
     candidates: usize,
-    first_enqueued: Instant,
 }
 
 impl Group {
@@ -465,7 +456,6 @@ impl Group {
             model: job.model.clone(),
             task_fp: job.task_fp,
             candidates: job.schedules.len(),
-            first_enqueued: job.enqueued,
             jobs: vec![job],
         }
     }
@@ -535,33 +525,11 @@ fn batcher_loop(shared: &Shared, policy: BatchPolicy) {
         let Some(first) = pick_fair(&mut st) else {
             continue; // Unreachable: the wait loop guarantees a non-empty queue.
         };
+        // The batch is whatever is queued for this key right now;
+        // nothing waits for more jobs to arrive.
         let mut group = Group::seed(first);
-        {
-            let QueueState { queue, tenants, .. } = &mut *st;
-            group.top_up(queue, tenants, policy.max_batch);
-        }
-        // Below target size: hold the batch open for stragglers, measured
-        // from the oldest job so no request waits more than max_wait here.
-        // Shutdown flushes immediately.
-        let wait_until = group.first_enqueued + policy.max_wait;
-        while group.candidates < policy.max_batch && !st.shutdown {
-            let now = Instant::now();
-            if now >= wait_until {
-                break;
-            }
-            let (guard, timed_out) = shared
-                .cv
-                .wait_timeout(st, wait_until - now)
-                .unwrap_or_else(|e| e.into_inner());
-            st = guard;
-            {
-                let QueueState { queue, tenants, .. } = &mut *st;
-                group.top_up(queue, tenants, policy.max_batch);
-            }
-            if timed_out.timed_out() {
-                break;
-            }
-        }
+        let QueueState { queue, tenants, .. } = &mut *st;
+        group.top_up(queue, tenants, policy.max_batch);
         drop(st);
         execute(shared, group, &mut scratch);
     }

@@ -8,16 +8,14 @@
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use std::time::Duration;
 use tlp::features::FeatureExtractor;
 use tlp::{TlpConfig, TlpModel};
 use tlp_autotuner::{Candidate, SearchTask, SketchPolicy};
 use tlp_hwsim::Platform;
 use tlp_schedule::{ScheduleSequence, Vocabulary};
 use tlp_serve::{
-    BatchPolicy, BreakerConfig, BreakerState, FleetConfig, FleetLoadOptions, HealthPolicy,
-    RemoteCostModel, ServeConfig, ServeError, ServingFleet, SimServiceModel, TenantPolicy,
-    TenantSpec,
+    BreakerConfig, BreakerState, FleetConfig, FleetLoadOptions, HealthPolicy, RemoteCostModel,
+    ServeConfig, ServeError, ServingFleet, SimServiceModel, TenantPolicy, TenantSpec,
 };
 use tlp_workload::{AnchorOp, Subgraph};
 
@@ -44,18 +42,12 @@ fn scorer(seed: u64) -> (TlpModel, FeatureExtractor) {
     (TlpModel::new(cfg), ex)
 }
 
-/// A fleet of `shards` with one batcher each and no coalescing wait (the
-/// tests drive requests sequentially, so waiting for stragglers only adds
-/// wall-clock time).
+/// A fleet of `shards` with one batcher each.
 fn fleet_config(shards: usize) -> FleetConfig {
     FleetConfig {
         shards,
         serve: ServeConfig {
             batchers: 1,
-            policy: BatchPolicy {
-                max_wait: Duration::ZERO,
-                ..BatchPolicy::default()
-            },
             ..ServeConfig::default()
         },
         ..FleetConfig::default()

@@ -103,32 +103,59 @@ fn concurrent_clients_match_direct_engine_bit_for_bit() {
 
 #[test]
 fn coalesced_jobs_share_engine_batches() {
-    // One paused server accumulates jobs, then a long max_wait lets a
-    // single batcher coalesce them: fewer engine batches than jobs.
+    // One batcher, kept busy scoring a large cold job for another task.
+    // The small jobs queued behind it share one key, so the batcher takes
+    // them together when it comes back: fewer engine batches than jobs,
+    // with every job's scores still bit-equal to the direct engine.
     let server = Server::start(
         serving_registry(3),
         ServeConfig {
-            queue_capacity: 64,
-            batchers: 0,
-            policy: BatchPolicy {
-                max_batch: 1024,
-                max_wait: Duration::from_millis(50),
-            },
+            batchers: 1,
             ..ServeConfig::default()
         },
     );
-    let t = task();
-    let pool = candidates(4, 5);
     let client = server.client();
-    let pending: Vec<_> = (0..6)
-        .map(|_| client.submit("m", &t, &pool, None).expect("admit"))
+    // Same subgraph on another platform: a different task, cold in cache.
+    let busy_task = SearchTask::new(task().subgraph, Platform::epyc_7452());
+    let busy_pool = candidates(4096, 9);
+    let busy = client
+        .submit("m", &busy_task, &busy_pool, None)
+        .expect("admit busy job");
+
+    const JOBS: usize = 6;
+    let t = task();
+    let pools: Vec<Vec<ScheduleSequence>> =
+        (0..JOBS).map(|j| candidates(4, 50 + j as u64)).collect();
+    let pending: Vec<_> = pools
+        .iter()
+        .map(|pool| client.submit("m", &t, pool, None).expect("admit"))
         .collect();
-    // No batchers ran; everything is still queued.
-    assert_eq!(client.stats().queue_depth, 6);
-    drop(server); // Drop = stop; leftover jobs answered ShuttingDown.
-    for p in pending {
-        assert_eq!(p.wait().err(), Some(ServeError::ShuttingDown));
+    let replies: Vec<_> = pending
+        .into_iter()
+        .map(|p| p.wait().expect("coalesced reply"))
+        .collect();
+    assert_eq!(busy.wait().expect("busy reply").batch_jobs, 1);
+
+    let (model, ex) = scorer(3);
+    let direct_engine = InferenceEngine::new(EngineConfig::default());
+    let direct_scorer = TlpScorer {
+        model,
+        extractor: ex,
+    };
+    for (j, (reply, pool)) in replies.iter().zip(&pools).enumerate() {
+        assert!(reply.batch_jobs > 1, "job {j} ran alone");
+        assert_eq!(
+            reply.scores,
+            direct_engine.score(&direct_scorer, &t, pool).0,
+            "job {j} diverged from the direct engine"
+        );
     }
+    let snap = server.shutdown();
+    let small_batches = snap.batches - 1;
+    assert!(
+        small_batches < JOBS as u64,
+        "{JOBS} jobs took {small_batches} engine batches"
+    );
 }
 
 #[test]
@@ -306,10 +333,7 @@ fn graceful_shutdown_drains_admitted_work() {
         ServeConfig {
             queue_capacity: 1024,
             batchers: 1,
-            policy: BatchPolicy {
-                max_batch: 8,
-                max_wait: Duration::from_millis(5),
-            },
+            policy: BatchPolicy { max_batch: 8 },
             ..ServeConfig::default()
         },
     );

@@ -33,8 +33,8 @@ use tlp_autotuner::{tune_network, CostModel, EvolutionConfig, RandomModel, Tunin
 use tlp_hwsim::Platform;
 use tlp_schedule::Vocabulary;
 use tlp_serve::{
-    random_pool, run_closed_loop, run_fleet_sim, BatchPolicy, FleetConfig, FleetLoadOptions,
-    LoadgenOptions, ModelRegistry, ServeConfig, Server, ServingFleet, SimServiceModel,
+    random_pool, run_closed_loop, run_fleet_sim, FleetConfig, FleetLoadOptions, LoadgenOptions,
+    ModelRegistry, ServeConfig, Server, ServingFleet, SimServiceModel,
 };
 use tlp_workload::{AnchorOp, Subgraph};
 
@@ -740,10 +740,6 @@ fn cmd_fleet_bench(args: &[String]) -> i32 {
             shards,
             serve: ServeConfig {
                 batchers: 1,
-                policy: BatchPolicy {
-                    max_wait: std::time::Duration::ZERO,
-                    ..BatchPolicy::default()
-                },
                 ..ServeConfig::default()
             },
             ..FleetConfig::default()
