@@ -134,7 +134,6 @@ fn loop_config(cfg: &TlpConfig, scratch_samples: usize) -> ContinualConfig {
                 .with_learning_rate(1e-3)
                 .with_seed(0x5EED),
         ),
-        audit: true,
         seed: 0xADA7,
     }
 }

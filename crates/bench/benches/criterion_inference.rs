@@ -1,4 +1,4 @@
-//! Criterion micro-benchmarks of per-candidate cost-model pipelines: TLP's
+//! Micro-benchmarks of per-candidate cost-model pipelines: TLP's
 //! primitive-sequence feature extraction + NN inference vs the TenSet-MLP
 //! pipeline (program generation + feature extraction + MLP inference), plus
 //! an [`InferenceEngine`] throughput section (candidates/sec at batch
@@ -6,24 +6,25 @@
 //! extract-then-predict path) that writes `BENCH_inference.json`.
 //!
 //! These support Figure 10's "execution speed" comparison with real
-//! measurements on this machine.
+//! measurements on this machine. Each pipeline case reports the best-of-50
+//! wall time of one 64-candidate pass, timed with [`tlp_bench::time_best`]
+//! (the target keeps its historical name; it uses no external harness).
 //!
 //! Run with `cargo bench -p tlp-bench --bench criterion_inference`.
 
 #![allow(clippy::disallowed_methods)] // unwrap/expect gate covers schedule, hwsim, serve (see clippy.toml)
 
-use criterion::{criterion_group, Criterion};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use serde::Serialize;
-use std::time::Instant;
+use std::hint::black_box;
 use tlp::baselines::{program_features, TenSetMlp};
 use tlp::engine::EngineConfig;
 use tlp::features::{FeatureBuf, FeatureExtractor};
 use tlp::search::TlpScorer;
 use tlp::{FeatureModel, TlpConfig, TlpModel};
 use tlp_autotuner::{Candidate, CostModel, ScoreRequest, SearchTask, SketchPolicy};
-use tlp_bench::write_json;
+use tlp_bench::{time_best, write_json};
 use tlp_hwsim::Platform;
 use tlp_nn::Workspace;
 use tlp_schedule::{ScheduleSequence, Vocabulary};
@@ -75,49 +76,59 @@ fn extractor_for(seqs: &[ScheduleSequence]) -> FeatureExtractor {
     FeatureExtractor::with_vocab(vb.build(), 25, 22)
 }
 
-fn bench_pipelines(c: &mut Criterion) {
+/// Best-of-N wall time per pass over the 64-candidate subject, printed as
+/// `per_candidate_scoring_64/<case>`.
+fn bench_pipelines() {
+    const REPS: usize = 50;
     let (sg, seqs) = subject();
     let extractor = extractor_for(&seqs);
     let cfg = TlpConfig::default();
     let tlp_model = TlpModel::new(cfg.clone());
     let tenset = TenSetMlp::new(cfg);
+    let report = |case: &str, s: f64| {
+        println!(
+            "per_candidate_scoring_64/{case:<32} {:>10.2} us   (best of {REPS})",
+            s * 1e6
+        );
+    };
 
-    let mut group = c.benchmark_group("per_candidate_scoring_64");
-    group.bench_function("tlp_extract_only", |b| {
-        let mut buf = FeatureBuf::new();
-        b.iter(|| {
+    let mut buf = FeatureBuf::new();
+    let mut ws = Workspace::new();
+    let mut out = Vec::new();
+    report(
+        "tlp_extract_only",
+        time_best(REPS, || {
             extractor.extract_batch_into(&seqs, &mut buf);
-            criterion::black_box(buf.len())
-        })
-    });
-    group.bench_function("tlp_extract_and_infer", |b| {
-        let mut buf = FeatureBuf::new();
-        let mut ws = Workspace::new();
-        let mut out = Vec::new();
-        b.iter(|| {
+            black_box(buf.len());
+        }),
+    );
+    report(
+        "tlp_extract_and_infer",
+        time_best(REPS, || {
             extractor.extract_batch_into(&seqs, &mut buf);
             tlp_model.predict_into(&mut ws, &buf, &mut out);
-            criterion::black_box(out.len())
-        })
-    });
-    group.bench_function("tenset_program_gen_and_features", |b| {
-        b.iter(|| seqs.iter().filter_map(|s| program_features(&sg, s)).count())
-    });
-    group.bench_function("tenset_full_pipeline", |b| {
-        b.iter(|| {
+            black_box(out.len());
+        }),
+    );
+    report(
+        "tenset_program_gen_and_features",
+        time_best(REPS, || {
+            black_box(seqs.iter().filter_map(|s| program_features(&sg, s)).count());
+        }),
+    );
+    report(
+        "tenset_full_pipeline",
+        time_best(REPS, || {
             let mut feats = Vec::new();
             for s in &seqs {
                 if let Some(f) = program_features(&sg, s) {
                     feats.extend(f);
                 }
             }
-            tenset.predict(&feats)
-        })
-    });
-    group.finish();
+            black_box(tenset.predict(&feats));
+        }),
+    );
 }
-
-criterion_group!(benches, bench_pipelines);
 
 /// One engine-throughput measurement at a fixed batch size. Every row
 /// records the engine thread count and micro-batch size it ran with, so a
@@ -148,17 +159,6 @@ struct ThroughputSummary {
     available_parallelism: usize,
     micro_batch: usize,
     rows: Vec<ThroughputRow>,
-}
-
-/// Best-of-`reps` wall time of `f`, seconds.
-fn time_best(reps: usize, mut f: impl FnMut()) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..reps {
-        let t = Instant::now();
-        f();
-        best = best.min(t.elapsed().as_secs_f64());
-    }
-    best
 }
 
 fn engine_throughput() {
@@ -196,7 +196,7 @@ fn engine_throughput() {
 
         let baseline_s = time_best(baseline_reps, || {
             extractor.extract_batch_into(seqs, &mut buf);
-            criterion::black_box(model.predict_with(&mut ws, buf.data()));
+            black_box(model.predict_with(&mut ws, buf.data()));
         });
         // Reference scores from the dense tape path, for the bit-equality
         // check below.
@@ -206,7 +206,7 @@ fn engine_throughput() {
         // Cold: invalidate between reps so every pass misses the cache.
         let cold_s = time_best(reps, || {
             cost_model.engine().invalidate();
-            criterion::black_box(cost_model.predict(ScoreRequest::new(&task, seqs)));
+            black_box(cost_model.predict(ScoreRequest::new(&task, seqs)));
         });
         let cold_batch = {
             cost_model.engine().invalidate();
@@ -225,7 +225,7 @@ fn engine_throughput() {
 
         // Warm: the pass above primed the cache; every pass now hits.
         let warm_s = time_best(reps.max(3), || {
-            criterion::black_box(cost_model.predict(ScoreRequest::new(&task, seqs)));
+            black_box(cost_model.predict(ScoreRequest::new(&task, seqs)));
         });
         let warm_batch = cost_model.predict(ScoreRequest::new(&task, seqs));
         assert_eq!(
@@ -278,6 +278,6 @@ fn engine_throughput() {
 }
 
 fn main() {
-    benches();
+    bench_pipelines();
     engine_throughput();
 }

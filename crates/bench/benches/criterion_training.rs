@@ -8,9 +8,9 @@
 #![allow(clippy::disallowed_methods)] // unwrap/expect gate covers schedule, hwsim, serve (see clippy.toml)
 
 use serde::Serialize;
-use std::time::Instant;
 use tlp::train::{train_tlp_with, GroupData, TrainData};
 use tlp::{TlpConfig, TlpModel, TrainOptions};
+use tlp_bench::time_best;
 use tlp_nn::ParamStore;
 
 /// Deterministic synthetic task-grouped data (feature extraction is not
@@ -65,17 +65,6 @@ struct TrainingSummary {
     /// Whether every worker count produced bitwise-identical parameters.
     deterministic_across_workers: bool,
     rows: Vec<TrainingRow>,
-}
-
-/// Best-of-`reps` wall time of `f`, seconds.
-fn time_best(reps: usize, mut f: impl FnMut()) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..reps {
-        let t = Instant::now();
-        f();
-        best = best.min(t.elapsed().as_secs_f64());
-    }
-    best
 }
 
 fn main() {

@@ -36,6 +36,18 @@ pub fn write_json<T: Serialize>(name: &str, value: &T) {
     println!("\n[results written to {}]", path.display());
 }
 
+/// Best-of-`reps` wall time of `f`, seconds. The minimum over repeats is the
+/// least noise-sensitive statistic for a short deterministic pass.
+pub fn time_best(reps: usize, mut f: impl FnMut()) -> f64 {
+    let mut best = f64::INFINITY;
+    for _ in 0..reps {
+        let t = std::time::Instant::now();
+        f();
+        best = best.min(t.elapsed().as_secs_f64());
+    }
+    best
+}
+
 /// Reads back a previously written JSON result, if present.
 pub fn read_json<T: serde::de::DeserializeOwned>(name: &str) -> Option<T> {
     let path = results_dir().join(format!("{name}.json"));

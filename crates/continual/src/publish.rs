@@ -33,14 +33,6 @@ pub struct PublishPolicy {
     /// A candidate whose canary rank accuracy is more than this far below
     /// the last good snapshot's is rolled back.
     pub canary_tolerance: f64,
-    /// Run the `tlp-modelcheck` audit on every candidate snapshot *before*
-    /// it is installed for canary scoring, rejecting candidates with
-    /// error-severity diagnostics
-    /// ([`PublishOutcome::RejectedInvalid`]). On by default: the canary
-    /// only measures ranking quality, so a structurally broken model
-    /// (NaN weights, torn head partition) could otherwise reach the
-    /// registry before the canary notices anything.
-    pub audit: bool,
 }
 
 impl Default for PublishPolicy {
@@ -48,7 +40,6 @@ impl Default for PublishPolicy {
         PublishPolicy {
             every_rounds: 1,
             canary_tolerance: 0.02,
-            audit: true,
         }
     }
 }
@@ -213,11 +204,13 @@ impl SnapshotPublisher {
             return Ok(PublishOutcome::Skipped);
         }
         let snapshot = snapshot_mtl(model, extractor);
-        if self.policy.audit {
-            let report = snapshot.audit();
-            if report.has_errors() {
-                let codes: std::collections::BTreeSet<String> = report
-                    .errors()
+        // The audited restore checks the exact bytes a cold-started server
+        // would load; a failing candidate never reaches the registry.
+        let (restored, ex) = match snapshot.restore_mtl() {
+            Ok(restored) => restored,
+            Err(PersistError::Invalid { diagnostics }) => {
+                let codes: std::collections::BTreeSet<String> = diagnostics
+                    .iter()
                     .map(|d| d.code.as_str().to_string())
                     .collect();
                 let outcome = PublishOutcome::RejectedInvalid {
@@ -226,10 +219,8 @@ impl SnapshotPublisher {
                 self.events.push(outcome.clone());
                 return Ok(outcome);
             }
-        }
-        // The pre-canary gate above already audited the exact bytes being
-        // installed (when enabled), so the restore need not re-audit.
-        let (restored, ex) = snapshot.restore_mtl_unchecked()?;
+            Err(e) => return Err(e),
+        };
         let version = self
             .registry
             .install_mtl_head(&self.name, restored, ex, self.head)?;

@@ -36,7 +36,7 @@ use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 use tlp::experiments::eval_mtl_head;
 use tlp::features::FeatureBuf;
-use tlp::persist::PersistError;
+use tlp::persist::{reject_errors, PersistError};
 use tlp::train::{GroupData, TrainData};
 use tlp::{FeatureExtractor, MtlTlp};
 use tlp_autotuner::{Candidate, MeasurePolicy, Measurer, SearchTask, SketchPolicy};
@@ -58,12 +58,6 @@ pub struct ContinualConfig {
     pub measure: MeasurePolicy,
     /// Per-round adaptation configuration (trainer knobs + trunk mode).
     pub adapt: AdaptConfig,
-    /// Run the `tlp-modelcheck` audit on the grown model before the first
-    /// round, rejecting a structurally broken starting point
-    /// ([`PersistError::Invalid`]) instead of adapting it for hours. On by
-    /// default; the audit is read-only and RNG-neutral, so enabling it
-    /// never changes the loop's results on a valid model.
-    pub audit: bool,
     /// Master seed for candidate sampling and fault injection.
     pub seed: u64,
 }
@@ -131,11 +125,17 @@ struct TaskAccum {
 /// head with the new platform last. `replay` holds old-platform rehearsal
 /// groups; `publisher` (optional) receives the model after every round.
 ///
+/// The grown model is always run through the `tlp-modelcheck` audit before
+/// the first round, so a structurally broken starting point is rejected
+/// instead of adapted for hours. There is no escape hatch; the audit is
+/// read-only and RNG-neutral, so it never changes the loop's results on a
+/// valid model.
+///
 /// # Errors
 ///
-/// Returns [`PersistError::Invalid`] when the entry audit is enabled and
-/// the grown model carries error-severity diagnostics; propagates
-/// [`PersistError`] from snapshot publishing.
+/// Returns [`PersistError::Invalid`] when the grown model carries
+/// error-severity diagnostics; propagates [`PersistError`] from snapshot
+/// publishing.
 ///
 /// # Panics
 ///
@@ -156,15 +156,8 @@ pub fn run_continual(
         "one dataset platform column per head (new platform last)"
     );
     assert!(n_heads >= 2, "need at least one old head and the new head");
-    if config.audit {
-        let spec = tlp::audit::mtl_spec(&model.config, n_heads);
-        let report = tlp_modelcheck::audit_store(&spec, &model.store);
-        if report.has_errors() {
-            return Err(PersistError::Invalid {
-                diagnostics: report.errors().cloned().collect(),
-            });
-        }
-    }
+    let spec = tlp::audit::mtl_spec(&model.config, n_heads);
+    reject_errors(&tlp_modelcheck::audit_store(&spec, &model.store))?;
     let new_head = n_heads - 1;
     let new_platform = &ds.platforms[new_head];
 

@@ -50,7 +50,7 @@ fn grown_model(ds: &Dataset, ex: &FeatureExtractor) -> MtlTlp {
     ];
     let options = TrainOptions::from_config(&cfg).with_seed(77);
     train_mtl_with(&mut base, &data, &options);
-    base.grow_head_checked().expect("grown model passes audit")
+    base.grow_head()
 }
 
 fn replay_from(ds: &Dataset, ex: &FeatureExtractor) -> ReplayBuffer {
@@ -77,7 +77,6 @@ fn loop_config(trunk_frozen: bool) -> ContinualConfig {
         } else {
             AdaptConfig::low_lr(train, 0.1)
         },
-        audit: true,
         seed: 99,
     }
 }
@@ -202,7 +201,6 @@ fn canary_gate_rolls_back_a_regressed_candidate() {
         PublishPolicy {
             every_rounds: 1,
             canary_tolerance: 0.01,
-            audit: true,
         },
         canaries,
     );
@@ -272,16 +270,6 @@ fn entry_audit_rejects_nan_grown_model() {
         diagnostics.iter().any(|d| d.code.as_str() == "M301"),
         "expected M301 NonFiniteValue, got {diagnostics:?}"
     );
-
-    // The escape hatch skips the gate (the loop then runs on garbage, which
-    // is the operator's explicit choice).
-    let config = ContinualConfig {
-        audit: false,
-        rounds: 0,
-        ..config
-    };
-    run_continual(&mut model, &ex, &ds, &replay, &config, None)
-        .expect("audit disabled: loop proceeds");
 }
 
 #[test]

@@ -66,7 +66,9 @@ impl MtlTlp {
     /// `self` (parameters are matched by registered name), so the grown
     /// model scores old platforms exactly like the original. The new head
     /// gets a fresh deterministic initialization drawn from the model
-    /// config's seed, so growing is reproducible.
+    /// config's seed, so growing is reproducible. Growing does not audit;
+    /// the continual loop (`tlp_continual::run_continual`) audits the grown
+    /// model at entry.
     pub fn grow_head(&self) -> MtlTlp {
         let mut grown = MtlTlp::new(self.config.clone(), self.num_tasks() + 1);
         let old_by_name: std::collections::HashMap<&str, tlp_nn::ParamId> = self
@@ -119,49 +121,6 @@ impl MtlTlp {
             *grown.store.value_mut(id) = self.store.value(src_id).clone();
         }
         grown
-    }
-
-    /// Like [`MtlTlp::grow_head`], but runs the `tlp-modelcheck` audit on
-    /// the grown model before handing it over, so continual-learning entry
-    /// points start from a verified store rather than adapting a broken one
-    /// for hours.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PersistError::Invalid`](crate::persist::PersistError) with
-    /// the audit's error diagnostics when the grown model is structurally
-    /// or numerically unsound (e.g. NaN trunk weights carried over).
-    pub fn grow_head_checked(&self) -> Result<MtlTlp, crate::persist::PersistError> {
-        Self::audited(self.grow_head())
-    }
-
-    /// Like [`MtlTlp::grow_head_from`], but audited; see
-    /// [`MtlTlp::grow_head_checked`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PersistError::Invalid`](crate::persist::PersistError) when
-    /// the grown model fails the audit.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `src` is out of range.
-    pub fn grow_head_from_checked(
-        &self,
-        src: usize,
-    ) -> Result<MtlTlp, crate::persist::PersistError> {
-        Self::audited(self.grow_head_from(src))
-    }
-
-    fn audited(grown: MtlTlp) -> Result<MtlTlp, crate::persist::PersistError> {
-        let spec = crate::audit::mtl_spec(&grown.config, grown.num_tasks());
-        let report = tlp_modelcheck::audit_store(&spec, &grown.store);
-        if report.has_errors() {
-            return Err(crate::persist::PersistError::Invalid {
-                diagnostics: report.errors().cloned().collect(),
-            });
-        }
-        Ok(grown)
     }
 
     /// Ids of the parameters belonging to head `task` (registered under the

@@ -9,9 +9,10 @@
 //! [`SavedTlp::restore_mtl`] run the `tlp-modelcheck` static analyzer
 //! (shape/arity, trunk/head partition, numeric sanity, store checksum)
 //! against the snapshot before handing a model back, rejecting corrupt or
-//! inconsistent snapshots with [`PersistError::Invalid`]. On a valid
-//! snapshot the audit is read-only and RNG-neutral, so the gated restore is
-//! bit-identical to the `_unchecked` variants.
+//! inconsistent snapshots with [`PersistError::Invalid`]. The audit is
+//! always on; there is no unaudited restore. On a valid snapshot it is
+//! read-only and RNG-neutral, so the restored model is bit-identical to the
+//! one that was snapshotted.
 
 use crate::config::TlpConfig;
 use crate::features::FeatureExtractor;
@@ -154,6 +155,23 @@ impl std::fmt::Display for PersistError {
 }
 
 impl std::error::Error for PersistError {}
+
+/// Turns an audit report into the boundary verdict every audited layer
+/// shares: [`PersistError::Invalid`] carrying the error-severity
+/// diagnostics if there are any, `Ok` otherwise (warnings and lints never
+/// reject).
+///
+/// # Errors
+///
+/// Returns [`PersistError::Invalid`] when `report` has errors.
+pub fn reject_errors(report: &AuditReport) -> Result<(), PersistError> {
+    if report.has_errors() {
+        return Err(PersistError::Invalid {
+            diagnostics: report.errors().cloned().collect(),
+        });
+    }
+    Ok(())
+}
 
 impl From<std::io::Error> for PersistError {
     fn from(e: std::io::Error) -> Self {
@@ -421,22 +439,11 @@ impl SavedTlp {
         self.audit_against(&self.spec())
     }
 
-    /// Rejects the snapshot with [`PersistError::Invalid`] if `report`
-    /// carries any error-severity diagnostic.
-    fn gate(report: &AuditReport) -> Result<(), PersistError> {
-        if report.has_errors() {
-            return Err(PersistError::Invalid {
-                diagnostics: report.errors().cloned().collect(),
-            });
-        }
-        Ok(())
-    }
-
     /// Rebuilds the single-task model and extractor, auditing the snapshot
     /// first. The audit reuses the freshly initialized model as the layout
     /// ground truth, so the gate costs one read-only sweep over the store
-    /// and nothing else — on a valid snapshot the result is bit-identical
-    /// to [`SavedTlp::restore_tlp_unchecked`].
+    /// and nothing else. The audit always runs; there is no unaudited
+    /// restore.
     ///
     /// # Errors
     ///
@@ -452,31 +459,7 @@ impl SavedTlp {
         }
         let mut model = TlpModel::new(self.config.clone());
         let spec = ModelSpec::from_store(&model.store, vec!["head.".to_string()], None);
-        Self::gate(&self.audit_against(&spec))?;
-        model.store = self.store.clone();
-        let extractor =
-            FeatureExtractor::with_vocab(self.vocab.clone(), self.seq_len, self.emb_size);
-        Ok((model, extractor))
-    }
-
-    /// Rebuilds the single-task model and extractor without auditing.
-    ///
-    /// Escape hatch for trusted in-process snapshots and for measuring the
-    /// gate's overhead; anything crossing a file or process boundary should
-    /// go through [`SavedTlp::restore_tlp`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PersistError::HeadCount`] if the snapshot was taken from an
-    /// MTL model.
-    pub fn restore_tlp_unchecked(&self) -> Result<(TlpModel, FeatureExtractor), PersistError> {
-        if self.heads != 1 {
-            return Err(PersistError::HeadCount {
-                found: self.heads,
-                expected: 1,
-            });
-        }
-        let mut model = TlpModel::new(self.config.clone());
+        reject_errors(&self.audit_against(&spec))?;
         model.store = self.store.clone();
         let extractor =
             FeatureExtractor::with_vocab(self.vocab.clone(), self.seq_len, self.emb_size);
@@ -484,8 +467,7 @@ impl SavedTlp {
     }
 
     /// Rebuilds an MTL model and extractor, auditing the snapshot first
-    /// (same gate as [`SavedTlp::restore_tlp`]; bit-identical to
-    /// [`SavedTlp::restore_mtl_unchecked`] on a valid snapshot).
+    /// (same always-on gate as [`SavedTlp::restore_tlp`]).
     ///
     /// # Errors
     ///
@@ -502,27 +484,7 @@ impl SavedTlp {
         let mut model = MtlTlp::new(self.config.clone(), self.heads);
         let prefixes = (0..self.heads).map(|i| format!("head{i}.")).collect();
         let spec = ModelSpec::from_store(&model.store, prefixes, Some("head".to_string()));
-        Self::gate(&self.audit_against(&spec))?;
-        model.store = self.store.clone();
-        let extractor =
-            FeatureExtractor::with_vocab(self.vocab.clone(), self.seq_len, self.emb_size);
-        Ok((model, extractor))
-    }
-
-    /// Rebuilds an MTL model and extractor without auditing (see
-    /// [`SavedTlp::restore_tlp_unchecked`] for when that is appropriate).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PersistError::HeadCount`] if the snapshot records no heads.
-    pub fn restore_mtl_unchecked(&self) -> Result<(MtlTlp, FeatureExtractor), PersistError> {
-        if self.heads == 0 {
-            return Err(PersistError::HeadCount {
-                found: 0,
-                expected: 1,
-            });
-        }
-        let mut model = MtlTlp::new(self.config.clone(), self.heads);
+        reject_errors(&self.audit_against(&spec))?;
         model.store = self.store.clone();
         let extractor =
             FeatureExtractor::with_vocab(self.vocab.clone(), self.seq_len, self.emb_size);
@@ -771,8 +733,6 @@ mod tests {
             }
             other => panic!("expected Invalid, got {other:?}", other = other.err()),
         }
-        // The escape hatch still restores.
-        assert!(snap.restore_tlp_unchecked().is_ok());
     }
 
     #[test]
@@ -813,7 +773,7 @@ mod tests {
     }
 
     #[test]
-    fn gated_restore_is_bit_identical_to_unchecked() {
+    fn gated_restore_is_bit_identical_to_source() {
         let cfg = TlpConfig::test_scale();
         let model = MtlTlp::new(cfg.clone(), 2);
         let mut vb = Vocabulary::builder();
@@ -822,12 +782,12 @@ mod tests {
         let ex = FeatureExtractor::with_vocab(vb.build(), cfg.seq_len, cfg.emb_size);
         let snap = snapshot_mtl(&model, &ex);
         let (gated, _) = snap.restore_mtl().expect("valid snapshot");
-        let (unchecked, _) = snap.restore_mtl_unchecked().expect("valid snapshot");
+        assert_eq!(store_checksum(&gated.store), store_checksum(&model.store));
         let feats = sample_features(&ex);
         for head in 0..2 {
             assert_eq!(
                 gated.predict_task(&feats, head),
-                unchecked.predict_task(&feats, head),
+                model.predict_task(&feats, head),
                 "the audit gate must not perturb a valid model"
             );
         }

@@ -229,7 +229,6 @@ impl PretrainedLm {
             patience: 0,
             valid_frac: 0.0,
             seed: self.config.seed ^ seed_salt,
-            coverage_check: true,
         }
     }
 

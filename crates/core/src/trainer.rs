@@ -52,6 +52,10 @@ use crate::config::TlpConfig;
 /// The legacy entry points (`train_tlp` etc.) derive their options from the
 /// model's [`TlpConfig`] via [`TrainOptions::from_config`]; the `*_with`
 /// variants accept explicit options.
+///
+/// No option turns off the startup gradient-coverage audit: every run
+/// checks the task's [`Trainable::coverage`] objective before the first
+/// epoch. The audit is always on; there is no escape hatch.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct TrainOptions {
     /// Number of passes over the training data.
@@ -83,13 +87,6 @@ pub struct TrainOptions {
     /// seed; the legacy wrappers salt this exactly like the loops they
     /// replaced, preserving historical batch streams).
     pub seed: u64,
-    /// Run the `tlp-modelcheck` gradient-coverage check (M4xx) against the
-    /// task's declared [`Trainable::coverage`] objective before the first
-    /// epoch, panicking on errors — a mask that silently trains nothing or
-    /// strands a trainable parameter is a bug, not a run to complete.
-    /// Read-only and RNG-neutral, so results are bit-identical either way
-    /// on a sound objective. Default on.
-    pub coverage_check: bool,
 }
 
 impl TrainOptions {
@@ -108,7 +105,6 @@ impl TrainOptions {
             patience: 0,
             valid_frac: 0.0,
             seed: config.seed,
-            coverage_check: true,
         }
     }
 
@@ -157,12 +153,6 @@ impl TrainOptions {
     /// Sets the base learning rate.
     pub fn with_learning_rate(mut self, learning_rate: f32) -> Self {
         self.learning_rate = learning_rate;
-        self
-    }
-
-    /// Enables or disables the startup gradient-coverage check.
-    pub fn with_coverage_check(mut self, coverage_check: bool) -> Self {
-        self.coverage_check = coverage_check;
         self
     }
 
@@ -318,9 +308,12 @@ pub trait Trainable: Sync {
 
     /// Declares the task's training objective for the `tlp-modelcheck`
     /// gradient-coverage pass (M4xx): which heads the loss reaches and
-    /// which parameters `postprocess_grads` freezes. `None` (the default)
-    /// skips the check — for tasks whose stores don't follow the TLP
-    /// trunk/head naming scheme.
+    /// which parameters `postprocess_grads` freezes. [`Trainer`] checks it
+    /// before the first epoch of every run and panics on errors — a mask
+    /// that silently trains nothing or strands a trainable parameter is a
+    /// bug, not a run to complete. The check is read-only and RNG-neutral.
+    /// `None` (the default) declares no objective, for tasks whose stores
+    /// don't follow the TLP trunk/head naming scheme.
     fn coverage(&self) -> Option<CoverageSpec> {
         None
     }
@@ -479,14 +472,12 @@ impl Trainer {
         resume: Option<TrainCheckpoint>,
     ) -> TrainReport {
         let o = &self.options;
-        if o.coverage_check {
-            if let Some(cov) = task.coverage() {
-                let report = tlp_modelcheck::check_coverage(task.store(), &cov);
-                assert!(
-                    !report.has_errors(),
-                    "training objective fails gradient-coverage audit:\n{report}"
-                );
-            }
+        if let Some(cov) = task.coverage() {
+            let report = tlp_modelcheck::check_coverage(task.store(), &cov);
+            assert!(
+                !report.has_errors(),
+                "training objective fails gradient-coverage audit:\n{report}"
+            );
         }
         let workers = o.effective_workers();
         let accum = o.effective_grad_accum().max(1);

@@ -65,14 +65,6 @@ pub struct ServeConfig {
     /// lints never reject. On by default: an invalid schedule would waste a
     /// batcher slot scoring a program the lowerer rejects anyway.
     pub validate_admission: bool,
-    /// Audit every model install through the `tlp-modelcheck` static
-    /// analyzer and reject models with error-severity diagnostics
-    /// ([`tlp::persist::PersistError::Invalid`]) before they become
-    /// resolvable. Applied to the registry at [`Server::start`]. On by
-    /// default: hot-swapping in a corrupt model would poison every
-    /// subsequent score; rejected installs are counted in
-    /// [`ServeSnapshot::rejected_installs`](crate::stats::ServeSnapshot).
-    pub validate_install: bool,
     /// Per-tenant QoS: weighted admission shares and fair-share dispatch.
     /// The default policy has a single auto-registered tenant class, which
     /// reduces to plain FIFO + global capacity — identical to pre-tenant
@@ -87,7 +79,6 @@ impl Default for ServeConfig {
             batchers: 2,
             policy: BatchPolicy::default(),
             validate_admission: true,
-            validate_install: true,
             tenants: TenantPolicy::default(),
         }
     }
@@ -172,7 +163,6 @@ pub struct Server {
 impl Server {
     /// Starts `config.batchers` batcher threads over `registry`.
     pub fn start(registry: Arc<ModelRegistry>, config: ServeConfig) -> Server {
-        registry.set_audit_installs(config.validate_install);
         let shared = Arc::new(Shared {
             state: Mutex::new(QueueState {
                 queue: VecDeque::with_capacity(config.queue_capacity.min(1 << 16)),

@@ -9,9 +9,11 @@ use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use tlp::features::FeatureExtractor;
+use tlp::persist::{snapshot_tlp, PersistError};
 use tlp::{TlpConfig, TlpModel};
 use tlp_autotuner::{Candidate, SearchTask, SketchPolicy};
 use tlp_hwsim::Platform;
+use tlp_modelcheck::Code;
 use tlp_schedule::{ScheduleSequence, Vocabulary};
 use tlp_serve::{
     BreakerConfig, BreakerState, FleetConfig, FleetLoadOptions, HealthPolicy, RemoteCostModel,
@@ -316,6 +318,46 @@ fn fleet_snapshot_aggregates_shards_and_tenants() {
     assert!(tenant_rows.contains(&"a") && tenant_rows.contains(&"b"));
     let json = snap.to_json();
     assert!(json.contains("\"router\"") && json.contains("\"gossip_trips\""));
+    fleet.shutdown();
+}
+
+#[test]
+fn fleet_rejects_invalid_models_on_both_install_paths() {
+    let fleet = ServingFleet::start(fleet_config(3));
+
+    // In-memory path: a NaN weight fails the numeric pass (M301).
+    let (mut model, ex) = scorer(7);
+    let id = model.store.ids().next().expect("store has params");
+    model.store.value_mut(id).data_mut()[0] = f32::NAN;
+    match fleet.install_tlp("bad", &model, &ex) {
+        Err(PersistError::Invalid { diagnostics }) => {
+            assert!(diagnostics.iter().any(|d| d.code == Code::NonFiniteValue));
+        }
+        other => panic!("expected Invalid, got {other:?}"),
+    }
+
+    // Snapshot path: one flipped bit fails the store checksum (M106).
+    let (model, ex) = scorer(7);
+    let mut snap = snapshot_tlp(&model, &ex);
+    let id = snap.store().ids().next().expect("store has params");
+    let bits = snap.store().value(id).data()[0].to_bits() ^ 1;
+    snap.store_mut().value_mut(id).data_mut()[0] = f32::from_bits(bits);
+    match fleet.install("bad", &snap) {
+        Err(PersistError::Invalid { diagnostics }) => {
+            assert!(diagnostics.iter().any(|d| d.code == Code::ChecksumMismatch));
+        }
+        other => panic!("expected Invalid, got {other:?}"),
+    }
+
+    for shard in 0..fleet.shard_count() {
+        assert!(
+            fleet.registry(shard).resolve("bad").is_none(),
+            "shard {shard} resolves a rejected model"
+        );
+    }
+    let stats = fleet.snapshot();
+    let rejected: u64 = stats.shards.iter().map(|s| s.serve.rejected_installs).sum();
+    assert_eq!(rejected, 2, "each rejected fleet install is counted");
     fleet.shutdown();
 }
 

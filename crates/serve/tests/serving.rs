@@ -463,7 +463,6 @@ fn admission_validation_can_be_disabled() {
         ServeConfig {
             batchers: 0,
             validate_admission: false,
-            validate_install: true,
             ..ServeConfig::default()
         },
     );

@@ -340,7 +340,6 @@ fn cmd_adapt(snapshot_path: Option<&str>) -> i32 {
                 .with_learning_rate(1e-3)
                 .with_seed(0x5EED),
         ),
-        audit: true,
         seed: 0xADA7,
     };
     println!(

@@ -2,13 +2,12 @@
 //!
 //! 1. **No false rejects**: every model the code can legitimately produce —
 //!    fresh, trained, grown — audits with zero error-severity diagnostics,
-//!    and the default-on gates (persist restore, trainer coverage check)
-//!    are bit-neutral: enabling them changes no parameter and no score.
+//!    and the always-on gates (persist restore, trainer coverage check)
+//!    are bit-neutral: passing through them changes no parameter.
 //! 2. **No false accepts**: targeted corruptions of golden snapshots —
 //!    random bit flips, NaN injection, tensor truncation, head-count
 //!    forgery — are each caught with the M-code the pass is specified to
-//!    emit, and the gated restore refuses them while the unchecked escape
-//!    hatch still works.
+//!    emit, and the gated restore refuses them.
 //!
 //! The corruptions run under proptest so the flipped bit / poisoned element
 //! ranges over the whole store, not a hand-picked coordinate.
@@ -19,7 +18,7 @@ use proptest::prelude::*;
 use tlp::persist::{snapshot_mtl, snapshot_tlp, PersistError, SavedTlp};
 use tlp::train::{train_tlp_with, GroupData, TrainData};
 use tlp::{MtlTlp, TlpConfig, TlpModel, TrainOptions};
-use tlp_modelcheck::{audit_store, Code};
+use tlp_modelcheck::{audit_store, check_coverage, Code, CoverageSpec};
 use tlp_nn::Tensor;
 
 fn cfg_with_seed(seed: u64) -> TlpConfig {
@@ -74,12 +73,19 @@ fn poke(snap: &mut SavedTlp, flat: usize, f: impl Fn(f32) -> f32) {
     unreachable!("flat index within total");
 }
 
-fn store_bits(snap: &SavedTlp) -> Vec<u32> {
-    let store = snap.store();
+fn param_bits(store: &tlp_nn::ParamStore) -> Vec<u32> {
     store
         .ids()
         .flat_map(|id| store.value(id).data().iter().map(|v| v.to_bits()))
         .collect()
+}
+
+fn store_bits(snap: &SavedTlp) -> Vec<u32> {
+    param_bits(snap.store())
+}
+
+fn model_bits(model: &TlpModel) -> Vec<u32> {
+    param_bits(&model.store)
 }
 
 /// Deterministic synthetic task-grouped data (no dataset generation).
@@ -115,21 +121,14 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Direction 1: freshly constructed models of any seed audit clean and
-    /// the gated restore is byte-for-byte the unchecked restore.
+    /// the gated restore is byte-for-byte the snapshotted store.
     #[test]
     fn fresh_models_never_false_reject(seed in 0u64..1_000_000, heads in 2usize..5) {
         let tlp = golden_tlp(seed);
         let report = tlp.audit();
         prop_assert!(!report.has_errors(), "false reject on fresh TLP: {report}");
         let (checked, _) = tlp.restore_tlp().expect("gate passes valid model");
-        let (unchecked, _) = tlp.restore_tlp_unchecked().expect("unchecked restore");
-        let bits = |m: &TlpModel| -> Vec<u32> {
-            m.store
-                .ids()
-                .flat_map(|id| m.store.value(id).data().iter().map(|v| v.to_bits()))
-                .collect::<Vec<u32>>()
-        };
-        prop_assert_eq!(bits(&checked), bits(&unchecked), "gate perturbed parameters");
+        prop_assert_eq!(model_bits(&checked), store_bits(&tlp), "gate perturbed parameters");
 
         let mtl = golden_mtl(seed, heads);
         prop_assert!(!mtl.audit().has_errors(), "false reject on fresh MTL-{heads}");
@@ -137,8 +136,8 @@ proptest! {
     }
 
     /// Direction 2, bit flips: flipping any single bit anywhere in the
-    /// store trips the checksum pass (M106), the gated restore refuses the
-    /// snapshot, and the unchecked escape hatch still restores it.
+    /// store trips the checksum pass (M106) and the gated restore refuses
+    /// the snapshot.
     #[test]
     fn any_bit_flip_is_caught(flat in 0usize..usize::MAX, bit in 0u32..32) {
         let mut snap = golden_tlp(7);
@@ -155,7 +154,6 @@ proptest! {
             }
             other => prop_assert!(false, "gate admitted a flipped store: {other:?}"),
         }
-        snap.restore_tlp_unchecked().expect("escape hatch still works");
     }
 
     /// Direction 2, NaN injection: the numeric pass (M301) flags a poisoned
@@ -243,9 +241,8 @@ fn nan_gradients_warn_but_do_not_fail() {
     assert!(report.passes(), "gradient residue must not gate: {report}");
 }
 
-/// Trainer-produced models audit clean, and the default-on coverage gate is
-/// RNG-neutral: training with it enabled is bit-identical to training with
-/// it disabled.
+/// Trainer-produced models audit clean, and the always-on coverage gate is
+/// read-only: running it over a trained store passes and changes no bit.
 #[test]
 fn trained_models_audit_clean_and_coverage_gate_is_bit_neutral() {
     let cfg = TlpConfig {
@@ -253,26 +250,19 @@ fn trained_models_audit_clean_and_coverage_gate_is_bit_neutral() {
         ..cfg_with_seed(21)
     };
     let data = synth_data(&cfg, 4, 6, 0xFEED);
-    let train = |coverage_check: bool| -> TlpModel {
-        let mut model = TlpModel::new(cfg.clone());
-        let options = TrainOptions::from_config(&cfg)
-            .with_seed(9)
-            .with_coverage_check(coverage_check);
-        train_tlp_with(&mut model, &data, &options);
-        model
-    };
-    let gated = train(true);
-    let ungated = train(false);
-    let bits = |m: &TlpModel| -> Vec<u32> {
-        m.store
-            .ids()
-            .flat_map(|id| m.store.value(id).data().iter().map(|v| v.to_bits()))
-            .collect()
-    };
+    let mut gated = TlpModel::new(cfg.clone());
+    let options = TrainOptions::from_config(&cfg).with_seed(9);
+    train_tlp_with(&mut gated, &data, &options);
+    let before = model_bits(&gated);
+    let coverage = check_coverage(&gated.store, &CoverageSpec::full(vec!["head.".into()]));
+    assert!(
+        coverage.passes(),
+        "trained objective false-rejected: {coverage}"
+    );
     assert_eq!(
-        bits(&gated),
-        bits(&ungated),
-        "coverage gate perturbed training"
+        model_bits(&gated),
+        before,
+        "coverage gate perturbed the store"
     );
 
     let ex = tlp::features::FeatureExtractor::with_vocab(
