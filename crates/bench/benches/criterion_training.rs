@@ -3,14 +3,20 @@
 //! with a fixed `grad_accum`, against the legacy-equivalent sequential loop
 //! (1 worker, per-batch stepping). Writes `BENCH_training.json`.
 //!
+//! Each of [`REPEATS`] repeats trains every row back to back for at least
+//! [`MIN_SECONDS`] of wall clock (one epoch takes under 0.1 s); the record
+//! keeps each repeat plus the median and IQR. The hard gate is that every
+//! worker count trains bitwise-identical parameters.
+//!
 //! Run with `cargo bench -p tlp-bench --bench criterion_training`.
 
 #![allow(clippy::disallowed_methods)] // unwrap/expect gate covers schedule, hwsim, serve (see clippy.toml)
 
 use serde::Serialize;
+use std::time::Instant;
 use tlp::train::{train_tlp_with, GroupData, TrainData};
 use tlp::{TlpConfig, TlpModel, TrainOptions};
-use tlp_bench::time_best;
+use tlp_bench::Spread;
 use tlp_nn::ParamStore;
 
 /// Deterministic synthetic task-grouped data (feature extraction is not
@@ -43,14 +49,21 @@ fn synth_data(cfg: &TlpConfig, groups: usize, per_group: usize) -> TrainData {
     }
 }
 
+/// Independent repeats of every row; the record keeps median and IQR.
+const REPEATS: usize = 5;
+/// Minimum timed wall-clock seconds per row per repeat.
+const MIN_SECONDS: f64 = 1.0;
+const GRAD_ACCUM: usize = 8;
+
 #[derive(Serialize)]
 struct TrainingRow {
     workers: usize,
     grad_accum: usize,
-    reps: usize,
-    wall_s: f64,
-    samples_per_s: f64,
+    samples_per_s: Spread,
+    /// Ratio of the `samples_per_s` medians against the 1-worker row.
     speedup_vs_1_worker: f64,
+    /// Samples/s of each repeat, in run order.
+    runs: Vec<f64>,
 }
 
 #[derive(Serialize)]
@@ -60,8 +73,10 @@ struct TrainingSummary {
     epochs: usize,
     batch_size: usize,
     hidden: usize,
+    repeats: usize,
+    min_seconds: f64,
     /// The seed's per-batch sequential loop (workers 1, grad_accum 1).
-    legacy_baseline_samples_per_s: f64,
+    legacy_baseline: TrainingRow,
     /// Whether every worker count produced bitwise-identical parameters.
     deterministic_across_workers: bool,
     rows: Vec<TrainingRow>,
@@ -78,62 +93,75 @@ fn main() {
     };
     let data = synth_data(&cfg, 8, 32);
     let samples = data.num_samples();
-    let reps = 3usize;
-    const GRAD_ACCUM: usize = 8;
 
     println!("\n=== training throughput (samples/sec) ===");
 
-    // Legacy-equivalent baseline: 1 worker, one optimizer step per batch.
-    let base_opts = TrainOptions::from_config(&cfg)
-        .with_seed(1)
-        .with_workers(1)
-        .with_grad_accum(1);
-    let legacy_s = time_best(reps, || {
-        let mut model = TlpModel::new(cfg.clone());
-        train_tlp_with(&mut model, &data, &base_opts);
-    });
-    let legacy_rate = samples as f64 / legacy_s;
-    println!("legacy loop (1 worker, accum 1): {legacy_rate:>8.0} samples/s");
-
-    let mut rows = Vec::new();
-    let mut one_worker_s = f64::NAN;
-    let mut stores: Vec<ParamStore> = Vec::new();
-    for &workers in &[1usize, 2, 8] {
-        let opts = TrainOptions::from_config(&cfg)
-            .with_seed(1)
-            .with_workers(workers)
-            .with_grad_accum(GRAD_ACCUM);
-        let mut last_store = None;
-        let wall_s = time_best(reps, || {
-            let mut model = TlpModel::new(cfg.clone());
-            train_tlp_with(&mut model, &data, &opts);
-            last_store = Some(model.store);
-        });
-        stores.push(last_store.expect("at least one rep ran"));
-        if workers == 1 {
-            one_worker_s = wall_s;
+    // (workers, grad_accum); the first is the legacy-equivalent baseline,
+    // one optimizer step per batch.
+    let setups = [
+        (1usize, 1usize),
+        (1, GRAD_ACCUM),
+        (2, GRAD_ACCUM),
+        (8, GRAD_ACCUM),
+    ];
+    let mut runs = vec![Vec::with_capacity(REPEATS); setups.len()];
+    let mut stores: Vec<Option<ParamStore>> = setups.iter().map(|_| None).collect();
+    // Repeat-major order, so slow drift on the machine hits every row alike.
+    for repeat in 1..=REPEATS {
+        for (i, &(workers, grad_accum)) in setups.iter().enumerate() {
+            let opts = TrainOptions::from_config(&cfg)
+                .with_seed(1)
+                .with_workers(workers)
+                .with_grad_accum(grad_accum);
+            let start = Instant::now();
+            let mut epochs = 0;
+            while epochs == 0 || start.elapsed().as_secs_f64() < MIN_SECONDS {
+                let mut model = TlpModel::new(cfg.clone());
+                train_tlp_with(&mut model, &data, &opts);
+                stores[i] = Some(model.store);
+                epochs += 1;
+            }
+            let rate = (epochs * samples) as f64 / start.elapsed().as_secs_f64();
+            println!(
+                "repeat {repeat}/{REPEATS} workers {workers} (accum {grad_accum}): {rate:>8.0} samples/s"
+            );
+            runs[i].push(rate);
         }
-        let row = TrainingRow {
-            workers,
-            grad_accum: GRAD_ACCUM,
-            reps,
-            wall_s,
-            samples_per_s: samples as f64 / wall_s,
-            speedup_vs_1_worker: one_worker_s / wall_s,
-        };
-        println!(
-            "workers {:>2} (accum {GRAD_ACCUM}): {:>8.0} samples/s ({:>4.2}x vs 1 worker)",
-            row.workers, row.samples_per_s, row.speedup_vs_1_worker
-        );
-        rows.push(row);
     }
 
+    // The worker rows (all but the legacy baseline) must agree bit for bit.
+    let stores: Vec<ParamStore> = stores
+        .into_iter()
+        .skip(1)
+        .map(|s| s.expect("every setup ran"))
+        .collect();
     let deterministic = stores.iter().all(|s| {
         s.ids()
             .zip(stores[0].ids())
             .all(|(a, b)| s.value(a).data() == stores[0].value(b).data())
     });
     assert!(deterministic, "worker count changed the trained parameters");
+
+    let one_worker = Spread::of(runs[1].iter().copied()).median;
+    let mut rows: Vec<TrainingRow> = setups
+        .iter()
+        .zip(runs)
+        .map(|(&(workers, grad_accum), runs)| {
+            let samples_per_s = Spread::of(runs.iter().copied());
+            println!(
+                "median workers {workers:>2} (accum {grad_accum}): {:>8.0} samples/s (IQR {:.0})",
+                samples_per_s.median, samples_per_s.iqr
+            );
+            TrainingRow {
+                workers,
+                grad_accum,
+                speedup_vs_1_worker: samples_per_s.median / one_worker,
+                samples_per_s,
+                runs,
+            }
+        })
+        .collect();
+    let legacy_baseline = rows.remove(0);
 
     let summary = TrainingSummary {
         available_parallelism: std::thread::available_parallelism()
@@ -143,7 +171,9 @@ fn main() {
         epochs: cfg.epochs,
         batch_size: cfg.batch_size,
         hidden: cfg.hidden,
-        legacy_baseline_samples_per_s: legacy_rate,
+        repeats: REPEATS,
+        min_seconds: MIN_SECONDS,
+        legacy_baseline,
         deterministic_across_workers: deterministic,
         rows,
     };

@@ -33,7 +33,7 @@ use tlp::features::FeatureExtractor;
 use tlp::search::TlpScorer;
 use tlp::{FeatureModel, TlpConfig, TlpModel};
 use tlp_autotuner::{CostModel, ScoreRequest, SearchTask};
-use tlp_bench::write_json;
+use tlp_bench::{write_json, Spread};
 use tlp_hwsim::Platform;
 use tlp_schedule::{ScheduleSequence, Vocabulary};
 use tlp_serve::{
@@ -184,33 +184,6 @@ struct Repeat {
     client_latency_us: HistogramSnapshot,
 }
 
-/// Median and interquartile range over the repeats (linear interpolation
-/// between closest ranks).
-#[derive(Serialize)]
-struct Spread {
-    median: f64,
-    q1: f64,
-    q3: f64,
-    iqr: f64,
-}
-
-fn spread(runs: &[Repeat], field: fn(&Repeat) -> f64) -> Spread {
-    let mut v: Vec<f64> = runs.iter().map(field).collect();
-    v.sort_by(f64::total_cmp);
-    let q = |p: f64| {
-        let x = p * (v.len() - 1) as f64;
-        let (lo, hi) = (x.floor() as usize, x.ceil() as usize);
-        v[lo] + (v[hi] - v[lo]) * (x - lo as f64)
-    };
-    let (q1, q3) = (q(0.25), q(0.75));
-    Spread {
-        median: q(0.5),
-        q1,
-        q3,
-        iqr: q3 - q1,
-    }
-}
-
 #[derive(Serialize)]
 struct ServingSummary {
     clients: usize,
@@ -262,7 +235,7 @@ fn main() {
         server = Some(last_round.server);
     }
 
-    let speedup = spread(&runs, |r| r.speedup);
+    let speedup = Spread::of(runs.iter().map(|r| r.speedup));
     let summary = ServingSummary {
         clients: CLIENTS,
         batch: BATCH,
@@ -270,9 +243,9 @@ fn main() {
         requests_per_round: REQUESTS_PER_ROUND,
         repeats: REPEATS,
         min_seconds: MIN_SECONDS,
-        baseline_candidates_per_s: spread(&runs, |r| r.baseline_candidates_per_s),
-        serving_candidates_per_s: spread(&runs, |r| r.serving_candidates_per_s),
-        mean_jobs_per_batch: spread(&runs, |r| r.mean_jobs_per_batch),
+        baseline_candidates_per_s: Spread::of(runs.iter().map(|r| r.baseline_candidates_per_s)),
+        serving_candidates_per_s: Spread::of(runs.iter().map(|r| r.serving_candidates_per_s)),
+        mean_jobs_per_batch: Spread::of(runs.iter().map(|r| r.mean_jobs_per_batch)),
         speedup_vs_unbatched_single_client: speedup.median,
         speedup,
         runs,

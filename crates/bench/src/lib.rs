@@ -48,6 +48,41 @@ pub fn time_best(reps: usize, mut f: impl FnMut()) -> f64 {
     best
 }
 
+/// Median and interquartile range over repeated measurements (linear
+/// interpolation between closest ranks).
+#[derive(Serialize)]
+pub struct Spread {
+    pub median: f64,
+    pub q1: f64,
+    pub q3: f64,
+    pub iqr: f64,
+}
+
+impl Spread {
+    /// The spread of `values`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `values` is empty.
+    pub fn of(values: impl IntoIterator<Item = f64>) -> Spread {
+        let mut v: Vec<f64> = values.into_iter().collect();
+        assert!(!v.is_empty(), "spread of no values");
+        v.sort_by(f64::total_cmp);
+        let q = |p: f64| {
+            let x = p * (v.len() - 1) as f64;
+            let (lo, hi) = (x.floor() as usize, x.ceil() as usize);
+            v[lo] + (v[hi] - v[lo]) * (x - lo as f64)
+        };
+        let (q1, q3) = (q(0.25), q(0.75));
+        Spread {
+            median: q(0.5),
+            q1,
+            q3,
+            iqr: q3 - q1,
+        }
+    }
+}
+
 /// Reads back a previously written JSON result, if present.
 pub fn read_json<T: serde::de::DeserializeOwned>(name: &str) -> Option<T> {
     let path = results_dir().join(format!("{name}.json"));

@@ -241,3 +241,55 @@ fn train_report_serializes() {
     assert!(json.contains("train_loss"));
     assert!(json.contains("Completed"));
 }
+
+/// FNV-1a over every parameter's `to_bits()`, in parameter-id order.
+fn param_fingerprint(store: &ParamStore) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for id in store.ids() {
+        for &x in store.value(id).data() {
+            for byte in x.to_bits().to_le_bytes() {
+                h ^= u64::from(byte);
+                h = h.wrapping_mul(0x0100_0000_01b3);
+            }
+        }
+    }
+    h
+}
+
+/// Trains `TlpConfig::test_scale()` (with `backbone`) for 2 epochs on 2
+/// workers; returns the final-loss bits and the parameter fingerprint.
+fn golden_run(backbone: tlp::Backbone) -> (u32, u64) {
+    let cfg = TlpConfig {
+        epochs: 2,
+        backbone,
+        ..TlpConfig::test_scale()
+    };
+    let data = synth_data(&cfg, 4, 12, 99);
+    let mut model = TlpModel::new(cfg.clone());
+    let report = train_tlp_with(&mut model, &data, &options(&cfg, 2));
+    (
+        report.final_loss().to_bits(),
+        param_fingerprint(&model.store),
+    )
+}
+
+/// Golden training fingerprint. The constants were recorded with the
+/// naive triple-loop backward products, before the transposed matmuls
+/// moved onto `kernels::gemm`; they pin every backward kernel (matmul,
+/// Bmm, LayerNorm) to those bits, so a kernel rewrite must be
+/// bit-identical to the historical loops, not merely self-consistent.
+#[test]
+fn training_matches_golden_fingerprint() {
+    let attention = golden_run(tlp::Backbone::Attention);
+    let transformer = golden_run(tlp::Backbone::Transformer);
+    assert_eq!(
+        attention,
+        (0x3de6_f0ec, 0x1170_682e_adde_db60),
+        "attention backbone drifted"
+    );
+    assert_eq!(
+        transformer,
+        (0x3ea5_21b4, 0xe967_9539_9f5a_d526),
+        "transformer backbone drifted"
+    );
+}

@@ -564,35 +564,34 @@ impl Graph {
                 let bv = self.value(*b);
                 let (bt, m, k) = (av.shape()[0], av.shape()[1], av.shape()[2]);
                 let n = bv.shape()[2];
+                let gd = g.data();
                 if self.needs(*a) {
+                    // dA = dC × Bᵀ per batch slice.
                     let mut da = Tensor::zeros(av.shape());
                     for bi in 0..bt {
-                        let gs = Tensor::from_vec(
-                            g.data()[bi * m * n..(bi + 1) * m * n].to_vec(),
-                            &[m, n],
+                        kernels::gemm_nt(
+                            &gd[bi * m * n..(bi + 1) * m * n],
+                            &bv.data()[bi * k * n..(bi + 1) * k * n],
+                            &mut da.data_mut()[bi * m * k..(bi + 1) * m * k],
+                            m,
+                            n,
+                            k,
                         );
-                        let bs = Tensor::from_vec(
-                            bv.data()[bi * k * n..(bi + 1) * k * n].to_vec(),
-                            &[k, n],
-                        );
-                        let d = gs.matmul_nt(&bs);
-                        da.data_mut()[bi * m * k..(bi + 1) * m * k].copy_from_slice(d.data());
                     }
                     out.push((*a, da));
                 }
                 if self.needs(*b) {
+                    // dB = Aᵀ × dC per batch slice.
                     let mut db = Tensor::zeros(bv.shape());
                     for bi in 0..bt {
-                        let gs = Tensor::from_vec(
-                            g.data()[bi * m * n..(bi + 1) * m * n].to_vec(),
-                            &[m, n],
+                        kernels::gemm_tn(
+                            &av.data()[bi * m * k..(bi + 1) * m * k],
+                            &gd[bi * m * n..(bi + 1) * m * n],
+                            &mut db.data_mut()[bi * k * n..(bi + 1) * k * n],
+                            k,
+                            m,
+                            n,
                         );
-                        let as_ = Tensor::from_vec(
-                            av.data()[bi * m * k..(bi + 1) * m * k].to_vec(),
-                            &[m, k],
-                        );
-                        let d = as_.matmul_tn(&gs);
-                        db.data_mut()[bi * k * n..(bi + 1) * k * n].copy_from_slice(d.data());
                     }
                     out.push((*b, db));
                 }
@@ -799,12 +798,17 @@ impl Graph {
                 let mut dx = Tensor::zeros(xv.shape());
                 let mut dgamma = Tensor::zeros(&[d]);
                 let mut dbeta = Tensor::zeros(&[d]);
+                // Row buffers reused across rows.
+                let mut xhat = vec![0.0f32; d];
+                let mut dxhat = vec![0.0f32; d];
                 for (r, (xr, gr)) in xv.data().chunks(d).zip(g.data().chunks(d)).enumerate() {
                     let mean = xr.iter().sum::<f32>() / d as f32;
                     let var = xr.iter().map(|&x| (x - mean) * (x - mean)).sum::<f32>() / d as f32;
                     let inv = 1.0 / (var + eps).sqrt();
                     // xhat_i = (x_i - mean) * inv
-                    let xhat: Vec<f32> = xr.iter().map(|&x| (x - mean) * inv).collect();
+                    for (h, &x) in xhat.iter_mut().zip(xr) {
+                        *h = (x - mean) * inv;
+                    }
                     if needs_g || needs_b {
                         for i in 0..d {
                             dgamma.data_mut()[i] += gr[i] * xhat[i];
@@ -813,7 +817,9 @@ impl Graph {
                     }
                     if needs_x {
                         // dxhat_i = g_i * gamma_i
-                        let dxhat: Vec<f32> = (0..d).map(|i| gr[i] * gv[i]).collect();
+                        for ((h, &gx), &gm) in dxhat.iter_mut().zip(gr).zip(gv) {
+                            *h = gx * gm;
+                        }
                         let sum_dxhat: f32 = dxhat.iter().sum();
                         let sum_dxhat_xhat: f32 =
                             dxhat.iter().zip(&xhat).map(|(&a, &b)| a * b).sum();

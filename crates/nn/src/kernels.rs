@@ -2,7 +2,9 @@
 //!
 //! Every kernel in this module obeys one rule, which is what makes the
 //! fast scoring path bit-identical to the autograd tape and to older
-//! builds of this crate:
+//! builds of this crate. The rule covers every matmul, forward and
+//! backward: the tape's transposed products ([`gemm_tn`], [`gemm_nt`])
+//! run through [`gemm`] on a transposed copy of one operand.
 //!
 //! > **Fixed accumulation order.** Each output element is a sum over the
 //! > inner (`k`) dimension accumulated in ascending `k` order, one
@@ -17,13 +19,16 @@
 //! contraction or reassociation), so vector width does not affect bits
 //! either.
 //!
-//! One deliberate divergence from the historical naive kernel: the old
-//! loop skipped `a == 0.0` terms. For finite `b` this is bitwise
-//! neutral — the skipped term contributes `±0.0`, accumulators never
-//! become `-0.0` (they start at `+0.0`, `+0.0 + ±0.0 = +0.0`, and IEEE
-//! round-to-nearest exact cancellation yields `+0.0`) — so
-//! `acc + ±0.0 == acc` bit-for-bit. The property tests in this module
-//! pin that equivalence on inputs with explicit zeros.
+//! One deliberate divergence from the historical naive kernels (the
+//! forward matmul and the backward `aᵀ × b`): they skipped `a == 0.0`
+//! terms. For finite `b` this is bitwise neutral — the skipped term
+//! contributes `±0.0`, accumulators never become `-0.0` (they start at
+//! `+0.0`, `+0.0 + ±0.0 = +0.0`, and IEEE round-to-nearest exact
+//! cancellation yields `+0.0`) — so `acc + ±0.0 == acc` bit-for-bit.
+//! Results differ only when `b` holds an infinity or NaN, e.g. a
+//! non-finite gradient: `0 × inf` is NaN here where the skip gave `0`.
+//! The property tests in this module pin that equivalence on inputs with
+//! explicit zeros.
 
 /// Columns per register block. Two j-panels cover the default hidden
 /// size (48) exactly; tails fall back to 8-wide then scalar columns.
@@ -52,6 +57,44 @@ pub fn gemm(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize)
     if i < m {
         gemm_rows::<1>(a, b, out, i, k, n);
     }
+}
+
+/// `out[m,n] = aᵀ × b` for `a [k,m]`, `b [k,n]`, overwriting `out`.
+///
+/// Transposes `a` into a contiguous `[m,k]` buffer, then runs [`gemm`],
+/// so each element keeps the ascending-`k` accumulation chain. The
+/// transpose is O(k·m) against the product's O(m·k·n).
+///
+/// # Panics
+///
+/// Panics if the slice lengths do not match `k×m`, `k×n`, `m×n`.
+pub fn gemm_tn(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
+    assert_eq!(a.len(), k * m, "gemm_tn lhs length mismatch");
+    gemm(&transpose(a, k, m), b, out, m, k, n);
+}
+
+/// `out[m,n] = a × bᵀ` for `a [m,k]`, `b [n,k]`, overwriting `out`.
+///
+/// Transposes `b` into a contiguous `[k,n]` buffer, then runs [`gemm`]
+/// (same contract as [`gemm_tn`]).
+///
+/// # Panics
+///
+/// Panics if the slice lengths do not match `m×k`, `n×k`, `m×n`.
+pub fn gemm_nt(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
+    assert_eq!(b.len(), n * k, "gemm_nt rhs length mismatch");
+    gemm(a, &transpose(b, n, k), out, m, k, n);
+}
+
+/// Row-major `[rows, cols]` → `[cols, rows]`.
+fn transpose(x: &[f32], rows: usize, cols: usize) -> Vec<f32> {
+    let mut t = vec![0.0f32; x.len()];
+    for (r, row) in x.chunks_exact(cols.max(1)).enumerate() {
+        for (c, &v) in row.iter().enumerate() {
+            t[c * rows + r] = v;
+        }
+    }
+    t
 }
 
 /// One `R`-row band of [`gemm`] starting at row `i`.
@@ -306,6 +349,70 @@ mod tests {
         }
     }
 
+    /// Explicit row-major `[rows, cols]` → `[cols, rows]`, independent of
+    /// the kernel's own transpose.
+    fn transposed(x: &[f32], rows: usize, cols: usize) -> Vec<f32> {
+        (0..cols)
+            .flat_map(|c| (0..rows).map(move |r| x[r * cols + c]))
+            .collect()
+    }
+
+    /// `gemm_tn` and `gemm_nt` against the naive reference on explicitly
+    /// transposed operands. Every `zero_stride`-th left-operand element is
+    /// zeroed (all of them at stride 1), so the reference's zero-skip runs.
+    fn check_transposed_products(m: usize, k: usize, n: usize, seed: u64, zero_stride: usize) {
+        let zeroed = |mut x: Vec<f32>| {
+            x.iter_mut().step_by(zero_stride).for_each(|v| *v = 0.0);
+            x
+        };
+        let mut slow = vec![0.0f32; m * n];
+        let mut fast = vec![0.0f32; m * n];
+
+        // aᵀ × b with a stored [k, m].
+        let a_km = zeroed(fill(seed, k * m));
+        let b = fill(seed ^ 0xdead_beef, k * n);
+        matmul_reference(&transposed(&a_km, k, m), &b, &mut slow, m, k, n);
+        fast.fill(f32::NAN); // the kernel must overwrite every element
+        gemm_tn(&a_km, &b, &mut fast, m, k, n);
+        assert_bits_eq(&fast, &slow, &format!("gemm_tn {m}x{k}x{n}"));
+
+        // a × bᵀ with b stored [n, k].
+        let a = zeroed(fill(seed ^ 0x5eed, m * k));
+        let b_nk = fill(seed ^ 0xfeed, n * k);
+        slow.fill(0.0);
+        matmul_reference(&a, &transposed(&b_nk, n, k), &mut slow, m, k, n);
+        fast.fill(f32::NAN);
+        gemm_nt(&a, &b_nk, &mut fast, m, k, n);
+        assert_bits_eq(&fast, &slow, &format!("gemm_nt {m}x{k}x{n}"));
+    }
+
+    #[test]
+    fn transposed_products_match_reference_on_edge_shapes() {
+        // Column tails: 24-wide panels, 8-wide tails and scalar tails, alone
+        // and combined; odd m; k = 1; and the tape's backward shapes
+        // (weight grads `xᵀ × g`, input grads `g × Wᵀ`, attention slices).
+        for &(m, k, n) in &[
+            (3, 5, 24),
+            (3, 5, 8),
+            (3, 5, 1),
+            (5, 7, 33),
+            (7, 3, 57),
+            (1, 1, 1),
+            (9, 1, 48),
+            (2, 1, 31),
+            (22, 832, 48),
+            (48, 832, 48),
+            (832, 48, 22),
+            (25, 25, 6),
+            (6, 25, 25),
+            (25, 6, 25),
+        ] {
+            for zero_stride in [1, 2, 7] {
+                check_transposed_products(m, k, n, (m * 131 + k * 7 + n) as u64, zero_stride);
+            }
+        }
+    }
+
     #[test]
     fn gemm_bias_matches_unfused() {
         let (m, k, n) = (37, 22, 48);
@@ -365,6 +472,20 @@ mod tests {
             for (x, y) in fast.iter().zip(&slow) {
                 prop_assert_eq!(x.to_bits(), y.to_bits());
             }
+        }
+
+        /// `gemm_tn`/`gemm_nt` are bitwise-equal to the naive reference on
+        /// explicitly transposed operands, including left operands with
+        /// explicit zeros.
+        #[test]
+        fn prop_transposed_gemm_bits_match_reference(
+            m in 1usize..40,
+            k in 1usize..40,
+            n in 1usize..60,
+            seed in 0u64..u64::MAX,
+            zero_stride in 1usize..6,
+        ) {
+            check_transposed_products(m, k, n, seed, zero_stride);
         }
 
         /// Satellite: fused scale+softmax is bitwise-equal to the unfused

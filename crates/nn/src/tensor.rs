@@ -326,7 +326,7 @@ impl Tensor {
 
     /// Transposed 2-D matmul `selfᵀ × rhs`: `self [k,m], rhs [k,n] → [m,n]`.
     ///
-    /// Used by backward passes to avoid materializing transposes.
+    /// Used by backward passes; runs [`kernels::gemm_tn`].
     ///
     /// # Panics
     ///
@@ -338,20 +338,7 @@ impl Tensor {
         let (k2, n) = (rhs.shape[0], rhs.shape[1]);
         assert_eq!(k, k2, "matmul_tn inner dimension mismatch");
         let mut out = vec![0.0f32; m * n];
-        for l in 0..k {
-            let a_row = &self.data[l * m..(l + 1) * m];
-            let b_row = &rhs.data[l * n..(l + 1) * n];
-            for i in 0..m {
-                let a = a_row[i];
-                if a == 0.0 {
-                    continue;
-                }
-                let o = &mut out[i * n..(i + 1) * n];
-                for (oj, &bj) in o.iter_mut().zip(b_row) {
-                    *oj += a * bj;
-                }
-            }
-        }
+        kernels::gemm_tn(&self.data, &rhs.data, &mut out, m, k, n);
         Tensor {
             shape: vec![m, n],
             data: out,
@@ -359,6 +346,8 @@ impl Tensor {
     }
 
     /// 2-D matmul with transposed rhs `self × rhsᵀ`: `self [m,k], rhs [n,k] → [m,n]`.
+    ///
+    /// Used by backward passes; runs [`kernels::gemm_nt`].
     ///
     /// # Panics
     ///
@@ -370,18 +359,7 @@ impl Tensor {
         let (n, k2) = (rhs.shape[0], rhs.shape[1]);
         assert_eq!(k, k2, "matmul_nt inner dimension mismatch");
         let mut out = vec![0.0f32; m * n];
-        for i in 0..m {
-            let a_row = &self.data[i * k..(i + 1) * k];
-            let o = &mut out[i * n..(i + 1) * n];
-            for (j, oj) in o.iter_mut().enumerate() {
-                let b_row = &rhs.data[j * k..(j + 1) * k];
-                let mut acc = 0.0f32;
-                for (&a, &b) in a_row.iter().zip(b_row) {
-                    acc += a * b;
-                }
-                *oj = acc;
-            }
-        }
+        kernels::gemm_nt(&self.data, &rhs.data, &mut out, m, k, n);
         Tensor {
             shape: vec![m, n],
             data: out,

@@ -49,7 +49,7 @@ proptest! {
         }
     }
 
-    /// Transposed-matmul helpers agree with explicit permutes.
+    /// Transposed-matmul helpers agree bit for bit with explicit permutes.
     #[test]
     fn matmul_variants_consistent(a in finite_vec(6), b in finite_vec(6)) {
         let a2 = Tensor::from_vec(a, &[3, 2]); // lhs [k=3, m=2] for tn
@@ -57,7 +57,13 @@ proptest! {
         let tn = a2.matmul_tn(&b2);
         let explicit = a2.permute(&[1, 0]).matmul(&b2);
         for (l, r) in tn.data().iter().zip(explicit.data()) {
-            prop_assert!((l - r).abs() < 1e-4);
+            prop_assert_eq!(l.to_bits(), r.to_bits());
+        }
+        // nt: lhs [m=3, k=2] × (rhs [n=3, k=2])ᵀ.
+        let nt = a2.matmul_nt(&b2);
+        let explicit = a2.matmul(&b2.permute(&[1, 0]));
+        for (l, r) in nt.data().iter().zip(explicit.data()) {
+            prop_assert_eq!(l.to_bits(), r.to_bits());
         }
     }
 
